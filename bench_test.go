@@ -500,7 +500,7 @@ func BenchmarkE22Apps(b *testing.B) {
 				b.ReportAllocs()
 				var levels int
 				for i := 0; i < b.N; i++ {
-					tr, err := lowstretch.BuildPool(benchPool, fam.g, fam.beta, 1, w, core.DirectionAuto)
+					tr, err := lowstretch.BuildPoolCtx(nil, benchPool, fam.g, fam.beta, 1, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -512,7 +512,7 @@ func BenchmarkE22Apps(b *testing.B) {
 				b.ReportAllocs()
 				var nblocks int
 				for i := 0; i < b.N; i++ {
-					bd, err := blocks.DecomposePool(benchPool, fam.g, 0.5, 1, 0, w, core.DirectionAuto)
+					bd, err := blocks.DecomposePoolCtx(nil, benchPool, fam.g, 0.5, 1, 0, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -543,7 +543,7 @@ const maxHierAllocsPerLevel = 600
 func BenchmarkE22HierarchyAllocGate(b *testing.B) {
 	g := graph.GNM(30000, 120000, 1)
 	run := func() int {
-		tr, err := lowstretch.BuildPool(benchPool, g, 0.3, 1, 8, core.DirectionAuto)
+		tr, err := lowstretch.BuildPoolCtx(nil, benchPool, g, 0.3, 1, 8, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -589,7 +589,7 @@ func BenchmarkE22WeightedHierarchyAllocGate(b *testing.B) {
 	g := graph.GNM(30000, 120000, 1)
 	wg := graph.RandomWeights(g, 1, 8, 2)
 	run := func() int {
-		tr, err := lowstretch.BuildWeightedPool(benchPool, wg, 0.3, 1, 8, core.DirectionAuto)
+		tr, err := lowstretch.BuildWeightedPoolCtx(nil, benchPool, wg, 0.3, 1, 8, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -633,7 +633,7 @@ func BenchmarkE22WeightedApps(b *testing.B) {
 				b.ReportAllocs()
 				var levels int
 				for i := 0; i < b.N; i++ {
-					tr, err := lowstretch.BuildWeightedPool(benchPool, fam.wg, fam.beta, 1, w, core.DirectionAuto)
+					tr, err := lowstretch.BuildWeightedPoolCtx(nil, benchPool, fam.wg, fam.beta, 1, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -645,7 +645,7 @@ func BenchmarkE22WeightedApps(b *testing.B) {
 				b.ReportAllocs()
 				var nblocks int
 				for i := 0; i < b.N; i++ {
-					bd, err := blocks.DecomposeWeightedPool(benchPool, fam.wg, 0.5, 1, 0, w, core.DirectionAuto)
+					bd, err := blocks.DecomposeWeightedPoolCtx(nil, benchPool, fam.wg, 0.5, 1, 0, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -755,7 +755,7 @@ func BenchmarkE18Connectivity(b *testing.B) {
 	b.Run("ldd-contraction", func(b *testing.B) {
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			r, err := connectivity.ComponentsPool(benchPool, g, 0.4, uint64(i), 0, core.DirectionAuto)
+			r, err := connectivity.ComponentsPoolCtx(nil, benchPool, g, 0.4, uint64(i), 0, core.DirectionAuto)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,7 +14,7 @@ import (
 // Block per level (nil where the level contributed no intra edges). An
 // Update recomputes blocks only for levels the hierarchy re-derived or
 // refreshed; spliced levels keep their Block verbatim. The maintained
-// Decomposition is bit-identical to DecomposePool on the updated graph
+// Decomposition is bit-identical to DecomposePoolCtx on the updated graph
 // with the same parameters (including the same explicit maxIters — pass it
 // explicitly when comparing, since the 0 default is resolved against the
 // graph handed to the initial build). Not safe for concurrent use.
@@ -30,29 +30,18 @@ type Incremental struct {
 }
 
 // BuildIncremental constructs an updatable block decomposition on the
-// shared default pool; see BuildIncrementalPool.
+// shared default pool; see BuildIncrementalPoolCtx.
 func BuildIncremental(g *graph.Graph, beta float64, seed uint64, maxIters int) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, beta, seed, maxIters, 0, core.DirectionAuto)
+	return BuildIncrementalPoolCtx(nil, nil, g, beta, seed, maxIters, 0, core.DirectionAuto)
 }
 
-// BuildIncrementalPool is DecomposePool retaining the hierarchy for
-// incremental maintenance.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, beta, seed, maxIters, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx builds a block decomposition as DecomposePoolCtx
+// does, retaining the hierarchy for incremental maintenance. ctx (nil
+// means never cancelled) covers the initial build; per-call update
+// deadlines go through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Incremental, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
-	}
-	if maxIters <= 0 {
-		maxIters = 8
-		for m := g.NumEdges(); m > 0; m >>= 1 {
-			maxIters += 4
-		}
 	}
 	inc := &Incremental{
 		dec:        &Decomposition{G: g, Beta: beta},
@@ -67,7 +56,7 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 		Workers:   workers,
 		Pool:      pool,
 		Direction: dir,
-		MaxLevels: maxIters,
+		MaxLevels: defaultMaxIters(maxIters, g.NumEdges()),
 		Residual:  true,
 		NeedIntra: true,
 	}, g, inc.capture)

@@ -40,17 +40,17 @@ func decompsEqual(t *testing.T, tag string, got, want *Decomposition) {
 
 // TestIncrementalMatchesRebuild drives random batches through
 // Incremental.Update and requires the maintained block decomposition to be
-// bit-identical to DecomposePool on the updated graph (same explicit
+// bit-identical to DecomposePoolCtx on the updated graph (same explicit
 // iteration cap) at every step — including the edge-partition invariant.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(16, 14)
 	const beta, seed, maxIters = 0.5, 7, 80
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, beta, seed, maxIters, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, beta, seed, maxIters, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := DecomposePool(nil, base, beta, seed, maxIters, w, core.DirectionAuto)
+		fresh0, err := DecomposePoolCtx(nil, nil, base, beta, seed, maxIters, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := DecomposePool(nil, cur, beta, seed, maxIters, w, core.DirectionAuto)
+			fresh, err := DecomposePoolCtx(nil, nil, cur, beta, seed, maxIters, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,40 +42,23 @@ type WeightedDecomposition struct {
 	Stats []hier.LevelStat
 }
 
-// DecomposeWeighted computes a weighted block decomposition on the shared
-// default pool; see DecomposeWeightedPool.
-func DecomposeWeighted(wg *graph.WeightedGraph, beta float64, seed uint64, maxIters int) (*WeightedDecomposition, error) {
-	return DecomposeWeightedPool(nil, wg, beta, seed, maxIters, 0, core.DirectionAuto)
-}
-
-// DecomposeWeightedPool is the weighted block decomposition on an explicit
-// persistent worker pool (nil means parallel.Default()) with an explicit
-// logical worker count and traversal direction. β is in units of inverse
-// weighted distance: pass beta/wtypical to cluster at scale wtypical.
-// maxIters caps the iteration count defensively; 0 means 4·log2(m)+8,
-// and each iteration's β shrinks geometrically once the default cap is
-// half exhausted, so heavy residual edges are always eventually absorbed.
-// For a fixed (wg, beta, seed) the blocks are bit-identical at every
-// worker count and direction.
-func DecomposeWeightedPool(pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*WeightedDecomposition, error) {
-	return DecomposeWeightedPoolCtx(nil, pool, wg, beta, seed, maxIters, workers, dir)
-}
-
-// DecomposeWeightedPoolCtx is DecomposeWeightedPool with a cancellation
-// context (nil means never cancelled), polled at level and Δ-stepping
-// round boundaries; a cancelled run returns (nil, ctx.Err()) with no
-// partial decomposition.
+// DecomposeWeightedPoolCtx is the weighted block decomposition on an
+// explicit persistent worker pool (nil means parallel.Default()) with an
+// explicit logical worker count and traversal direction. β is in units of
+// inverse weighted distance: pass beta/wtypical to cluster at scale
+// wtypical. maxIters caps the iteration count defensively; 0 means
+// 4·log2(m)+8, and each iteration's β shrinks geometrically once the
+// default cap is half exhausted, so heavy residual edges are always
+// eventually absorbed. For a fixed (wg, beta, seed) the blocks are
+// bit-identical at every worker count and direction. ctx (nil means never
+// cancelled) is polled at level and Δ-stepping round boundaries; a
+// cancelled run returns (nil, ctx.Err()) with no partial decomposition.
 func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*WeightedDecomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
 	}
 	bd := &WeightedDecomposition{G: wg, Beta: beta}
-	if maxIters <= 0 {
-		maxIters = 8
-		for m := wg.NumEdges(); m > 0; m >>= 1 {
-			maxIters += 4
-		}
-	}
+	maxIters = defaultMaxIters(maxIters, wg.NumEdges())
 	// A flat β can stall on weighted graphs (levels where every edge is
 	// heavier than the shift scale cut everything forever). Past the
 	// halfway point the schedule halves β per level, which grows the

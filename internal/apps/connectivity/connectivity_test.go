@@ -151,7 +151,7 @@ func TestComponentsPoolDirectionsBitIdentical(t *testing.T) {
 		"gnm":  graph.GNM(600, 1500, 5),
 	}
 	for name, g := range gs {
-		base, err := ComponentsPool(nil, g, 0.4, 1, 1, core.DirectionForcePush)
+		base, err := ComponentsPoolCtx(nil, nil, g, 0.4, 1, 1, core.DirectionForcePush)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestComponentsPoolDirectionsBitIdentical(t *testing.T) {
 		dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
 		for _, dir := range dirs {
 			for _, w := range []int{1, 2, 8} {
-				r, err := ComponentsPool(nil, g, 0.4, 1, w, dir)
+				r, err := ComponentsPoolCtx(nil, nil, g, 0.4, 1, w, dir)
 				if err != nil {
 					t.Fatal(err)
 				}

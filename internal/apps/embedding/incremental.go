@@ -16,11 +16,11 @@ import (
 // damage model is per-level independent: a level re-partitions only when
 // core's O(batch) fixpoint check rejects the batch, and re-refines its
 // piece assignment only when its own partition or the parent level's
-// assignment moved. The maintained Tree is bit-identical to BuildPool on
+// assignment moved. The maintained Tree is bit-identical to BuildPoolCtx on
 // the updated graph with the same parameters — with diam0 pinned at build
 // time: the initial diameter target is resolved once (the 0 default reads
 // the pseudo-diameter of the ORIGINAL graph) and kept across updates, so
-// compare against BuildPool with that explicit diam0. Not safe for
+// compare against BuildPoolCtx with that explicit diam0. Not safe for
 // concurrent use.
 type Incremental struct {
 	t       *Tree
@@ -45,21 +45,10 @@ type UpdateStats struct {
 	Reused int
 }
 
-// BuildIncremental constructs an updatable embedding on the shared default
-// pool; see BuildIncrementalPool.
-func BuildIncremental(g *graph.Graph, diam0 float64, seed uint64) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, diam0, seed, 0, core.DirectionAuto)
-}
-
-// BuildIncrementalPool is BuildPool retaining the per-level decompositions
-// for incremental maintenance.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, diam0, seed, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx is BuildPoolCtx retaining the per-level
+// decompositions for incremental maintenance. ctx (nil means never
+// cancelled) covers the initial build; per-call update deadlines go
+// through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
 	diam0 = resolveDiam0(g, diam0)
 	t, parts, err := buildTree(ctx, pool, g, diam0, seed, workers, dir, true)

@@ -39,17 +39,17 @@ func embeddingsEqual(t *testing.T, tag string, got, want *Tree) {
 
 // TestIncrementalMatchesRebuild drives random batches through
 // Incremental.Update and requires the maintained embedding to be
-// bit-identical to BuildPool on the updated graph with the same pinned
+// bit-identical to BuildPoolCtx on the updated graph with the same pinned
 // diam0.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(15, 13)
 	const diam0, seed = 28.0, 11
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, diam0, seed, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, diam0, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := BuildPool(nil, base, diam0, seed, w, core.DirectionAuto)
+		fresh0, err := BuildPoolCtx(nil, nil, base, diam0, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildPool(nil, cur, diam0, seed, w, core.DirectionAuto)
+			fresh, err := BuildPoolCtx(nil, nil, cur, diam0, seed, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // merely refresh stats).
 func TestIncrementalNoOp(t *testing.T) {
 	base := graph.Grid2D(20, 19)
-	inc, err := BuildIncrementalPool(nil, base, 24, 2, 2, core.DirectionAuto)
+	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 24, 2, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

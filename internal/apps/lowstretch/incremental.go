@@ -16,41 +16,29 @@ import (
 // the hierarchy actually re-derived or refreshed — spliced levels keep
 // their edges verbatim — and skips the O(n log n) LCA index rebuild
 // entirely when the tree came out unchanged. The maintained Tree is
-// bit-identical to BuildPool on the updated graph with the same
+// bit-identical to BuildPoolCtx on the updated graph with the same
 // parameters. Not safe for concurrent use.
 type Incremental struct {
 	h    *hier.Hierarchy
 	tree *Tree
-	// segs[l] holds level l's tree edges in original coordinates, in the
-	// same order BuildPool's visit callback emits them.
+	// segs[l] holds level l's tree edges in original coordinates: the
+	// non-root vertices' parent edges, in vertex order.
 	segs [][]graph.Edge
 	// edgesChanged is set by the capture callback whenever a re-visited
 	// level's segment differs from the retained one.
 	edgesChanged bool
 }
 
-// BuildIncremental constructs an updatable low-stretch forest on the shared
-// default pool; see BuildIncrementalPool.
-func BuildIncremental(g *graph.Graph, beta float64, seed uint64) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, beta, seed, 0, core.DirectionAuto)
-}
-
-// BuildIncrementalPool is BuildPool retaining the hierarchy for incremental
-// maintenance: the initial Tree is bit-identical to BuildPool's, and every
-// subsequent Update leaves Tree bit-identical to BuildPool on the updated
-// graph.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, beta, seed, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx builds a low-stretch forest as BuildPoolCtx
+// does, retaining the hierarchy for incremental maintenance: every
+// subsequent Update leaves Tree bit-identical to BuildPoolCtx on the
+// updated graph. ctx (nil means never cancelled) covers the initial build;
+// per-call update deadlines go through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
 	}
-	inc := &Incremental{tree: &Tree{G: g, pool: pool, workers: workers}}
+	inc := &Incremental{tree: &Tree{G: g, lcaIndex: lcaIndex{pool: pool, workers: workers}}}
 	h, err := hier.BuildHierarchy(hier.Config{
 		Ctx:          ctx,
 		Beta:         beta,
@@ -121,7 +109,9 @@ func (inc *Incremental) capture(lv *hier.Level) error {
 	for len(inc.segs) <= lv.Index {
 		inc.segs = append(inc.segs, nil)
 	}
-	var seg []graph.Edge
+	// Every cluster contracts to one next-level vertex and contributes one
+	// root, so the level has exactly n - NumQuot tree edges.
+	seg := make([]graph.Edge, 0, lv.G.NumVertices()-lv.NumQuot)
 	for v := 0; v < lv.G.NumVertices(); v++ {
 		p := lv.D.Parent[v]
 		if p == uint32(v) {

@@ -43,16 +43,16 @@ func treesIdentical(t *testing.T, tag string, got, want *Tree) {
 
 // TestIncrementalMatchesRebuild drives a chain of random batches through
 // Incremental.Update and requires the maintained Tree to be bit-identical
-// to BuildPool on the updated graph at every step.
+// to BuildPoolCtx on the updated graph at every step.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(18, 15)
 	const beta, seed = 0.25, 9
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, beta, seed, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, beta, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := BuildPool(nil, base, beta, seed, w, core.DirectionAuto)
+		fresh0, err := BuildPoolCtx(nil, nil, base, beta, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildPool(nil, cur, beta, seed, w, core.DirectionAuto)
+			fresh, err := BuildPoolCtx(nil, nil, cur, beta, seed, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // must not rebuild the LCA index, and a no-op batch must reuse every level.
 func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	base := graph.Grid2D(25, 24)
-	inc, err := BuildIncrementalPool(nil, base, 0.2, 4, 2, core.DirectionAuto)
+	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 0.2, 4, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := BuildPool(nil, updated, 0.2, 4, 2, core.DirectionAuto)
+	fresh, err := BuildPoolCtx(nil, nil, updated, 0.2, 4, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,45 +95,90 @@ func TestLowStretchBeatsBFSOnGrid(t *testing.T) {
 	}
 }
 
-func TestForestOnDisconnectedGraph(t *testing.T) {
-	g, err := graph.FromEdges(7, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Build(g, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spanning forest: n - #components edges. Components: {0,1,2},{3,4,5},{6}.
-	if len(tr.Edges) != 4 {
-		t.Errorf("forest has %d edges, want 4", len(tr.Edges))
-	}
-	if d := tr.Dist(0, 3); d != -1 {
-		t.Errorf("cross-component Dist=%d, want -1", d)
-	}
-	if d := tr.Dist(0, 2); d != 2 {
-		t.Errorf("Dist(0,2)=%d want 2", d)
-	}
-}
-
 func TestBuildRejectsBadBeta(t *testing.T) {
 	if _, err := Build(graph.Path(4), 1.5, 0); err == nil {
 		t.Error("expected error")
 	}
 }
 
+// TestEmptyAndTrivialGraphs runs both spanning-tree types, which share one
+// LCA index, over the inputs that give the index the least to work with:
+// the empty graph, a single vertex, an edgeless graph and a disconnected
+// one. On every vertex Dist(v,v) is 0 and LCA(v,v) is v, Dist across
+// components is -1, and the forest has n - components edges.
 func TestEmptyAndTrivialGraphs(t *testing.T) {
-	empty, _ := graph.FromEdges(0, nil)
-	if _, err := Build(empty, 0.3, 0); err != nil {
-		t.Errorf("empty graph: %v", err)
+	type pair struct {
+		u, v uint32
+		dist float64 // -1: different components
 	}
-	single, _ := graph.FromEdges(1, nil)
-	tr, err := Build(single, 0.3, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		n      int
+		edges  []graph.Edge
+		forest int // spanning-forest edge count
+		pairs  []pair
+	}{
+		{name: "empty"},
+		{name: "single", n: 1},
+		{name: "edgeless", n: 5, pairs: []pair{{0, 4, -1}, {1, 2, -1}}},
+		{
+			// Components {0,1,2}, {3,4,5} and the isolated vertex 6.
+			name: "two-components", n: 7,
+			edges:  []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}},
+			forest: 4,
+			pairs:  []pair{{0, 3, -1}, {2, 6, -1}, {5, 6, -1}, {0, 2, 2}, {3, 5, 2}},
+		},
 	}
-	if len(tr.Edges) != 0 {
-		t.Error("single vertex tree should have no edges")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := graph.FromEdges(tc.n, tc.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wedges := make([]graph.WeightedEdge, len(tc.edges))
+			for i, e := range tc.edges {
+				wedges[i] = graph.WeightedEdge{U: e.U, V: e.V, W: 1}
+			}
+			wg, err := graph.FromWeightedEdges(tc.n, wedges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := Build(g, 0.3, 5)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			wt, err := BuildWeighted(wg, 0.3, 5)
+			if err != nil {
+				t.Fatalf("BuildWeighted: %v", err)
+			}
+			trees := []struct {
+				kind  string
+				edges int
+				dist  func(u, v uint32) float64
+				lca   func(u, v uint32) uint32
+			}{
+				{"Tree", len(tr.Edges), func(u, v uint32) float64 { return float64(tr.Dist(u, v)) }, tr.LCA},
+				{"WeightedTree", len(wt.Edges), wt.Dist, wt.LCA},
+			}
+			for _, x := range trees {
+				if x.edges != tc.forest {
+					t.Errorf("%s: forest has %d edges, want %d", x.kind, x.edges, tc.forest)
+				}
+				for v := uint32(0); v < uint32(tc.n); v++ {
+					if d := x.dist(v, v); d != 0 {
+						t.Errorf("%s: Dist(%d,%d) = %g, want 0", x.kind, v, v, d)
+					}
+					if l := x.lca(v, v); l != v {
+						t.Errorf("%s: LCA(%d,%d) = %d", x.kind, v, v, l)
+					}
+				}
+				for _, p := range tc.pairs {
+					if d := x.dist(p.u, p.v); d != p.dist {
+						t.Errorf("%s: Dist(%d,%d) = %g, want %g", x.kind, p.u, p.v, d, p.dist)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -67,20 +67,14 @@ type findScratch struct {
 // decomposition granularity; pass 0 to auto-tune (doubling until pieces are
 // small enough to balance). Runs on the shared default pool.
 func Find(g *graph.Graph, beta float64, maxImbalance float64, seed uint64) (*Result, error) {
-	return FindPool(nil, g, beta, maxImbalance, seed, 0, core.DirectionAuto)
+	return FindPoolCtx(nil, nil, g, beta, maxImbalance, seed, 0, core.DirectionAuto)
 }
 
-// FindPool is Find on an explicit persistent worker pool (nil means
+// FindPoolCtx is Find on an explicit persistent worker pool (nil means
 // parallel.Default()) with an explicit logical worker count and traversal
-// direction.
-func FindPool(pool *parallel.Pool, g *graph.Graph, beta, maxImbalance float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
-	return FindPoolCtx(nil, pool, g, beta, maxImbalance, seed, workers, dir)
-}
-
-// FindPoolCtx is FindPool with a cancellation context (nil means never
-// cancelled), polled at partition-round boundaries and between β retries
-// of the auto-tuning loop; a cancelled run returns (nil, ctx.Err()) with
-// no partial separator.
+// direction. ctx (nil means never cancelled) is polled at partition-round
+// boundaries and between β retries of the auto-tuning loop; a cancelled
+// run returns (nil, ctx.Err()) with no partial separator.
 func FindPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta, maxImbalance float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
 	if maxImbalance <= 0.5 || maxImbalance >= 1 {
 		return nil, errors.New("separator: maxImbalance must lie in (0.5, 1)")

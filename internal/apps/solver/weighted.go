@@ -148,16 +148,10 @@ func WeightedPCG(l *WeightedLaplacian, ts *WeightedTreeSolver, b []float64, tol 
 	return pcgOp(l.Apply, l.Dim(), b, tol, maxIter, ts.Solve)
 }
 
-// WeightedCG runs unpreconditioned conjugate gradient on the weighted
-// Laplacian.
-func WeightedCG(l *WeightedLaplacian, b []float64, tol float64, maxIter int) ([]float64, Result) {
-	return pcgOp(l.Apply, l.Dim(), b, tol, maxIter, nil)
-}
-
 // NewWeightedSolver builds a reusable solver over the weighted Laplacian,
 // preconditioned by exact weighted tree solves (ts nil = plain CG). See
-// Solver: repeated Solves reuse all scratch and are bit-identical to
-// WeightedPCG/WeightedCG.
+// Solver: repeated Solves reuse all scratch and, for a non-nil ts, are
+// bit-identical to WeightedPCG.
 func NewWeightedSolver(l *WeightedLaplacian, ts *WeightedTreeSolver, tol float64, maxIter int) *Solver {
 	var pre func(r, z []float64)
 	if ts != nil {

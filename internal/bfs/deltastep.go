@@ -58,43 +58,31 @@ func DeltaStepping(g *graph.WeightedGraph, source uint32, delta float64, workers
 		init[i] = math.Inf(1)
 	}
 	init[source] = 0
-	return DeltaSteppingMulti(g, init, delta, workers)
-}
-
-// DeltaSteppingMulti is Δ-stepping from an implicit super-source: init[v]
-// gives the starting distance of v (+Inf for non-sources). This is exactly
-// the shifted-shortest-path primitive of the paper's Section 5 lifted to
-// weighted graphs: PartitionWeightedParallel passes init[u] = δ_max − δ_u.
-func DeltaSteppingMulti(g *graph.WeightedGraph, init []float64, delta float64, workers int) *WeightedResult {
-	return DeltaSteppingMultiPool(nil, g, init, delta, workers)
-}
-
-// DeltaSteppingMultiPool is DeltaSteppingMulti with the bucket-relaxation
-// rounds executing on the given persistent worker pool (nil means
-// parallel.Default()) and automatic per-round direction switching; the
-// per-worker relaxation buffers are reused across rounds.
-func DeltaSteppingMultiPool(pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int) *WeightedResult {
-	return DeltaSteppingMultiPoolDir(pool, g, init, delta, workers, DirectionAuto)
-}
-
-// DeltaSteppingMultiPoolDir is the full engine: Δ-stepping from the init
-// distances with the given traversal Direction. Distances converge to the
-// unique fixpoint of dist[v] = min(init[v], min_u dist[u]+w(u,v)) — every
-// relaxation order reaches the same IEEE bit patterns because the float
-// additions are identical and min never rounds — and parents are then
-// recovered by a single deterministic pull pass (resolveParents), so the
-// (Dist, Parent) output is bit-identical across directions and worker
-// counts. The Rounds and Relaxed counters describe the schedule actually
-// executed and may differ between directions.
-func DeltaSteppingMultiPoolDir(pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) *WeightedResult {
-	res, _ := DeltaSteppingMultiPoolDirCtx(nil, pool, g, init, delta, workers, dir)
+	// Cancellation is the engine's only error, and a nil ctx never cancels.
+	res, _ := DeltaSteppingMultiPoolDirCtx(nil, nil, g, init, delta, workers, DirectionAuto)
 	return res
 }
 
-// DeltaSteppingMultiPoolDirCtx is DeltaSteppingMultiPoolDir with
-// cancellation: ctx (nil means never cancelled) is polled between
-// bucket-relaxation rounds — never inside a relaxation kernel — and a
-// cancelled search returns (nil, ctx.Err()) with no partial result.
+// DeltaSteppingMultiPoolDirCtx is Δ-stepping from an implicit
+// super-source: init[v] gives the starting distance of v (+Inf for
+// non-sources). This is exactly the shifted-shortest-path primitive of the
+// paper's Section 5 lifted to weighted graphs: PartitionWeightedParallel
+// passes init[u] = δ_max − δ_u. The bucket-relaxation rounds execute on
+// the given persistent worker pool (nil means parallel.Default()) with the
+// given traversal Direction (DirectionAuto switches per round), and the
+// per-worker relaxation buffers are reused across rounds.
+//
+// Distances converge to the unique fixpoint of dist[v] = min(init[v],
+// min_u dist[u]+w(u,v)) — every relaxation order reaches the same IEEE bit
+// patterns because the float additions are identical and min never rounds
+// — and parents are then recovered by a single deterministic pull pass
+// (resolveParents), so the (Dist, Parent) output is bit-identical across
+// directions and worker counts. The Rounds and Relaxed counters describe
+// the schedule actually executed and may differ between directions.
+//
+// ctx (nil means never cancelled) is polled between bucket-relaxation
+// rounds — never inside a relaxation kernel — and a cancelled search
+// returns (nil, ctx.Err()) with no partial result.
 func DeltaSteppingMultiPoolDirCtx(ctx context.Context, pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) (*WeightedResult, error) {
 	n := g.NumVertices()
 	res := &WeightedResult{

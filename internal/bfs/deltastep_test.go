@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mpx/internal/graph"
+	"mpx/internal/parallel"
 )
 
 func unitWeighted(g *graph.Graph) *graph.WeightedGraph {
@@ -82,6 +83,17 @@ func TestDeltaSteppingUnreachable(t *testing.T) {
 	}
 }
 
+// deltaMulti runs the multi-source Δ-stepping engine with no cancellation
+// context.
+func deltaMulti(t *testing.T, pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) *WeightedResult {
+	t.Helper()
+	res, err := DeltaSteppingMultiPoolDirCtx(nil, pool, g, init, delta, workers, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDeltaSteppingMultiSource(t *testing.T) {
 	wg := unitWeighted(graph.Path(10))
 	init := make([]float64, 10)
@@ -90,7 +102,7 @@ func TestDeltaSteppingMultiSource(t *testing.T) {
 	}
 	init[0] = 0.5
 	init[9] = 0
-	res := DeltaSteppingMulti(wg, init, 1, 2)
+	res := deltaMulti(t, nil, wg, init, 1, 2, DirectionAuto)
 	for v := 0; v < 10; v++ {
 		want := math.Min(0.5+float64(v), float64(9-v))
 		if math.Abs(res.Dist[v]-want) > 1e-9 {
@@ -104,7 +116,7 @@ func TestDeltaSteppingEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := DeltaSteppingMulti(wg, nil, 0, 1)
+	res := deltaMulti(t, nil, wg, nil, 0, 1, DirectionAuto)
 	if len(res.Dist) != 0 {
 		t.Error("empty graph should give empty result")
 	}
@@ -116,7 +128,7 @@ func TestDeltaSteppingNoSources(t *testing.T) {
 	for i := range init {
 		init[i] = math.Inf(1)
 	}
-	res := DeltaSteppingMulti(wg, init, 1, 1)
+	res := deltaMulti(t, nil, wg, init, 1, 1, DirectionAuto)
 	for v, d := range res.Dist {
 		if !math.IsInf(d, 1) {
 			t.Errorf("vertex %d reached without sources", v)
@@ -178,7 +190,7 @@ func TestDeltaSteppingSubUlpWeightsAcyclic(t *testing.T) {
 			init[i] = math.Inf(1)
 		}
 		init[0] = 0
-		res := DeltaSteppingMultiPoolDir(nil, wg, init, 0, 2, dir)
+		res := deltaMulti(t, nil, wg, init, 0, 2, dir)
 		// Walk every parent chain; it must reach a self-parent within n steps.
 		for v := range res.Parent {
 			x, steps := uint32(v), 0

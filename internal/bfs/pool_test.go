@@ -75,7 +75,7 @@ func TestDeltaSteppingPoolMatchesDijkstra(t *testing.T) {
 	}
 	init[0] = 0
 	for _, w := range []int{1, 2, 8} {
-		res := DeltaSteppingMultiPool(pool, wg, init, 0.5, w)
+		res := deltaMulti(t, pool, wg, init, 0.5, w, DirectionAuto)
 		for v, d := range want {
 			if math.IsInf(d, 1) {
 				continue

@@ -80,13 +80,9 @@ func (s *Subset) Vertices() []uint32 {
 	return s.dense.Members(make([]uint32, 0, s.count))
 }
 
-// ArcCount returns the summed out-degree of the members, computing and
+// arcCount returns the summed out-degree of the members, computing and
 // caching it on first use. Subsets built by EdgeMap carry the count from
 // construction, so the hot path never rescans a frontier.
-func (s *Subset) ArcCount(g *graph.Graph, workers int) int64 {
-	return s.arcCount(g, nil, workers)
-}
-
 func (s *Subset) arcCount(g *graph.Graph, pool *parallel.Pool, workers int) int64 {
 	if s.arcsOK {
 		return s.arcs

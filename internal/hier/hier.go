@@ -183,7 +183,7 @@ type Level struct {
 	// coordinates (Config.NeedIntra; aliases scratch — copy to retain).
 	IntraEdges []graph.Edge
 
-	eng  *Engine
+	eng  *engine
 	orig []graph.Edge // annotation per canonical edge rank of G; nil = identity
 }
 
@@ -218,9 +218,9 @@ type Result struct {
 	OrigMap []uint32
 }
 
-// Engine owns the reusable scratch of a hierarchy run. One engine may run
-// many hierarchies; scratch persists across runs and levels.
-type Engine struct {
+// engine owns the reusable scratch of one hierarchy; it persists across the
+// hierarchy's levels and every later Update.
+type engine struct {
 	cfg Config
 	sc  graph.ContractScratch
 
@@ -240,14 +240,6 @@ type Engine struct {
 	rankFor    *graph.Graph
 }
 
-// New returns an engine for the given configuration.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
-
-// Run executes a full hierarchy with a fresh engine; see Engine.Run.
-func Run(cfg Config, g *graph.Graph, visit func(*Level) error) (*Result, error) {
-	return New(cfg).Run(g, visit)
-}
-
 // Run drives the hierarchy over g, invoking visit (which may be nil) once
 // per level. It stops when the current graph has no edges, returning
 // ErrMaxLevels (with partial Result) if the cap is hit first, and
@@ -257,24 +249,20 @@ func Run(cfg Config, g *graph.Graph, visit func(*Level) error) (*Result, error) 
 // (*parallel.PanicError) therefore returns an error and no result, with
 // no visit ever observed.
 //
-// Run is a thin wrapper over the persistent Hierarchy (update.go): it
-// builds one, discards the retained per-level state, and returns the
-// Result. Callers that want to maintain the hierarchy under edge updates
-// use BuildHierarchy/Hierarchy.Update instead.
-func (e *Engine) Run(g *graph.Graph, visit func(*Level) error) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h := &Hierarchy{eng: e, res: &Result{}}
-	if err := h.build(g, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h.res, err
-		}
+// Run is the Result of BuildHierarchy with the retained per-level state
+// discarded. Callers that want to maintain the hierarchy under edge
+// updates keep the Hierarchy instead (BuildHierarchy/Hierarchy.Update).
+func Run(cfg Config, g *graph.Graph, visit func(*Level) error) (*Result, error) {
+	return resultOf(BuildHierarchy(cfg, g, visit))
+}
+
+// resultOf is the Result view of a build's outcome: nil on error, the
+// partial Result alongside ErrMaxLevels.
+func resultOf(h *Hierarchy, err error) (*Result, error) {
+	if h == nil {
 		return nil, err
 	}
-	return h.res, nil
+	return h.res, err
 }
 
 // CutEdgesOnPool counts the undirected edges of g whose endpoints carry
@@ -304,7 +292,7 @@ func CutEdgesOnPool(pool *parallel.Pool, workers int, g *graph.Graph, center []u
 // — that contracts onto it. "First" is realized by a stable pool radix
 // sort on the packed quotient-pair keys, so the choice is deterministic at
 // every worker count.
-func (e *Engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center, quot []uint32, next *graph.Graph) []graph.Edge {
+func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center, quot []uint32, next *graph.Graph) []graph.Edge {
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
 	n := cur.NumVertices()
@@ -419,7 +407,7 @@ func (e *Engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 
 // collectIntra gathers the intra-cluster edges of cur in canonical order,
 // mapped to original coordinates through the current annotation table.
-func (e *Engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
+func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
 	n := cur.NumVertices()
@@ -481,7 +469,7 @@ func (e *Engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint
 // buildRank prepares the upper-triangular edge-rank tables OrigEdge
 // queries against: upperOff[v] is the canonical rank of v's first upper
 // edge and firstUpper[v] the adjacency index of v's first neighbor > v.
-func (e *Engine) buildRank(g *graph.Graph) {
+func (e *engine) buildRank(g *graph.Graph) {
 	if e.rankFor == g {
 		return
 	}
@@ -502,7 +490,7 @@ func (e *Engine) buildRank(g *graph.Graph) {
 }
 
 // edgeRank returns the canonical rank of edge {a, b} (a < b) of g.
-func (e *Engine) edgeRank(g *graph.Graph, a, b uint32) int {
+func (e *engine) edgeRank(g *graph.Graph, a, b uint32) int {
 	if e.rankFor != g {
 		panic("hier: OrigEdge called outside its level's visit callback")
 	}

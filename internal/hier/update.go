@@ -11,9 +11,10 @@ import (
 	"mpx/internal/xrand"
 )
 
-// This file turns the one-shot decompose-and-contract driver into an
-// online system: a persistent Hierarchy retains every level's input graph,
-// decomposition, quotient map and annotation table, and Update applies a
+// This file makes the decompose-and-contract driver an online system:
+// every build is a persistent Hierarchy (Run and RunWeighted return its
+// Result) that retains every level's input graph, decomposition, quotient
+// map and annotation table, and Update applies a
 // graph.Batch by re-deriving — never patching — exactly the levels whose
 // inputs changed (the ROADMAP rule). The contract is strict bit-identity:
 // after Update, the Hierarchy's Result, every retained level, and every
@@ -75,7 +76,7 @@ type levelState struct {
 // of a build plus everything needed to maintain it under edge updates.
 // It is not safe for concurrent use.
 type Hierarchy struct {
-	eng      *Engine
+	eng      *engine
 	res      *Result
 	levels   []levelState
 	weighted bool
@@ -114,38 +115,42 @@ func (s UpdateStats) String() string {
 // is returned alongside the error (its partial levels are consistent);
 // other errors — including Config.Ctx cancellation and contained panics —
 // return nil.
-func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (h *Hierarchy, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			h, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h = &Hierarchy{eng: New(cfg), res: &Result{}}
-	if err := h.build(g, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h, err
-		}
-		return nil, err
-	}
-	return h, nil
+func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (*Hierarchy, error) {
+	return build(cfg, false, visit, func(e *engine) (derivation, error) {
+		return e.computeLevels(cfg.Ctx, 0, g, nil)
+	})
 }
 
 // BuildWeightedHierarchy is BuildHierarchy for weighted graphs (the
 // RunWeighted driver).
-func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (h *Hierarchy, err error) {
+func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Hierarchy, error) {
+	return build(cfg, true, visit, func(e *engine) (derivation, error) {
+		return e.computeWeightedLevels(cfg.Ctx, 0, wg)
+	})
+}
+
+// build is the one recover-and-commit routine behind every full build:
+// derive runs the pure compute phase (the unweighted or weighted level
+// loop) on a fresh engine, and only a derivation that succeeded — or
+// stopped at ErrMaxLevels — is committed and has its visits replayed.
+func build(cfg Config, weighted bool, visit func(*Level) error, derive func(*engine) (derivation, error)) (h *Hierarchy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			h, err = nil, parallel.Recovered(r)
 		}
 	}()
-	h = &Hierarchy{eng: New(cfg), res: &Result{}, weighted: true}
-	if err := h.buildWeighted(wg, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h, err
-		}
+	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}, weighted: weighted}
+	dv, derr := derive(h.eng)
+	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
+		return nil, derr
+	}
+	if err = h.commit(dv, visit); err == nil {
+		err = derr
+	}
+	if err != nil && !errors.Is(err, ErrMaxLevels) {
 		return nil, err
 	}
-	return h, nil
+	return h, err
 }
 
 // Result returns the hierarchy's current result. The same pointer stays
@@ -175,26 +180,17 @@ func (h *Hierarchy) WeightedGraph() *graph.WeightedGraph {
 	return h.res.WFinal
 }
 
-func (h *Hierarchy) initOrigMap(n0 int) {
+// recomposeOrigMap rebuilds Result.OrigMap as the composition of every
+// level's quotient map (the identity in residual mode, whose levels keep
+// the vertex set). Pure integer map folding in a fixed order, so the
+// values do not depend on the worker count.
+func (h *Hierarchy) recomposeOrigMap() {
 	cfg := h.eng.cfg
 	if !cfg.TrackVertexMap {
 		return
 	}
-	h.res.OrigMap = make([]uint32, n0)
-	cfg.Pool.ForRange(cfg.Workers, n0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			h.res.OrigMap[v] = uint32(v)
-		}
-	})
-}
-
-// recomposeOrigMap rebuilds Result.OrigMap as the composition of every
-// level's quotient map. Pure integer map folding in a fixed order — the
-// values are identical to the per-level composition Run used to maintain.
-func (h *Hierarchy) recomposeOrigMap() {
-	cfg := h.eng.cfg
-	if !cfg.TrackVertexMap || cfg.Residual || h.res.OrigMap == nil {
-		return
+	if h.res.OrigMap == nil {
+		h.res.OrigMap = make([]uint32, h.Graph().NumVertices())
 	}
 	om := h.res.OrigMap
 	n0 := len(om)
@@ -203,6 +199,9 @@ func (h *Hierarchy) recomposeOrigMap() {
 			om[v] = uint32(v)
 		}
 	})
+	if cfg.Residual {
+		return
+	}
 	for i := range h.levels {
 		quot := h.levels[i].quot
 		cfg.Pool.ForRange(cfg.Workers, n0, func(lo, hi int) {
@@ -213,44 +212,26 @@ func (h *Hierarchy) recomposeOrigMap() {
 	}
 }
 
-// build derives the full unweighted hierarchy over g, installs it, and
-// replays the visits. The shared body of Run and BuildHierarchy.
-func (h *Hierarchy) build(g *graph.Graph, visit func(*Level) error) error {
-	cfg := h.eng.cfg
-	h.initOrigMap(g.NumVertices())
-	lvls, stats, final, derr := h.eng.computeLevels(cfg.Ctx, 0, g, nil)
-	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
-		return derr
-	}
-	h.levels = lvls
-	h.res.Stats = stats
-	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil {
-		return verr
-	}
-	return derr
+// derivation is the staged output of a level loop: the levels, their
+// stats, and the graph the loop stopped on (wfinal is its weighted form in
+// weighted hierarchies).
+type derivation struct {
+	levels []levelState
+	stats  []LevelStat
+	final  *graph.Graph
+	wfinal *graph.WeightedGraph
 }
 
-// buildWeighted is build for weighted hierarchies.
-func (h *Hierarchy) buildWeighted(wg *graph.WeightedGraph, visit func(*Level) error) error {
-	cfg := h.eng.cfg
-	h.initOrigMap(wg.NumVertices())
-	lvls, stats, final, wfinal, derr := h.eng.computeWeightedLevels(cfg.Ctx, 0, wg)
-	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
-		return derr
-	}
-	h.levels = lvls
-	h.res.Stats = stats
-	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.res.WFinal = wfinal
+// commit installs a whole staged derivation as the hierarchy's state and
+// only then replays every level's visit.
+func (h *Hierarchy) commit(dv derivation, visit func(*Level) error) error {
+	h.levels = dv.levels
+	h.res.Stats = dv.stats
+	h.res.Levels = len(dv.levels)
+	h.res.Final = dv.final
+	h.res.WFinal = dv.wfinal
 	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil {
-		return verr
-	}
-	return derr
+	return h.replayVisits(0, len(dv.levels), visit)
 }
 
 // computeLevels derives levels start, start+1, ... for the graph cur
@@ -263,17 +244,17 @@ func (h *Hierarchy) buildWeighted(wg *graph.WeightedGraph, visit func(*Level) er
 // polls it between rounds). On ErrMaxLevels the levels computed so far are
 // returned alongside the error (they are consistent and installable); any
 // other error returns nothing.
-func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph, orig []graph.Edge) ([]levelState, []LevelStat, *graph.Graph, error) {
+func (e *engine) computeLevels(ctx context.Context, start int, cur *graph.Graph, orig []graph.Edge) (derivation, error) {
 	cfg := e.cfg
 	pool := cfg.Pool
 	var lvls []levelState
 	var stats []LevelStat
 	for level := start; cur.NumEdges() > 0; level++ {
 		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, nil, nil, cerr
+			return derivation{}, cerr
 		}
 		if level >= cfg.maxLevels() {
-			return lvls, stats, cur, ErrMaxLevels
+			return derivation{lvls, stats, cur, nil}, ErrMaxLevels
 		}
 		d, err := core.Partition(cur, cfg.betaAt(level, cur), core.Options{
 			Ctx:         ctx,
@@ -285,7 +266,7 @@ func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 			Direction:   cfg.Direction,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return derivation{}, err
 		}
 		n := cur.NumVertices()
 		center := d.Center
@@ -299,14 +280,14 @@ func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 		if cfg.Residual {
 			next, err = graph.CutSubgraphPool(pool, cfg.Workers, cur, center, &e.sc)
 			if err != nil {
-				return nil, nil, nil, err
+				return derivation{}, err
 			}
 			st.numQuot = n
 		} else {
 			var quot []uint32
 			next, quot, err = graph.ContractClustersPool(pool, cfg.Workers, cur, center, &e.sc)
 			if err != nil {
-				return nil, nil, nil, err
+				return derivation{}, err
 			}
 			st.quot = quot
 			st.numQuot = next.NumVertices()
@@ -339,12 +320,12 @@ func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 		cur = next
 		orig = nextOrig
 	}
-	return lvls, stats, cur, nil
+	return derivation{lvls, stats, cur, nil}, nil
 }
 
 // computeWeightedLevels is computeLevels for weighted hierarchies: the
-// pure compute phase of RunWeighted and the weighted Update.
-func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *graph.WeightedGraph) ([]levelState, []LevelStat, *graph.Graph, *graph.WeightedGraph, error) {
+// pure compute phase of BuildWeightedHierarchy and the weighted Update.
+func (e *engine) computeWeightedLevels(ctx context.Context, start int, cur *graph.WeightedGraph) (derivation, error) {
 	cfg := e.cfg
 	pool := cfg.Pool
 	var lvls []levelState
@@ -353,10 +334,10 @@ func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 	var orig []graph.Edge
 	for level := start; cur.NumEdges() > 0; level++ {
 		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, nil, nil, nil, cerr
+			return derivation{}, cerr
 		}
 		if level >= cfg.maxLevels() {
-			return lvls, stats, curU, cur, ErrMaxLevels
+			return derivation{lvls, stats, curU, cur}, ErrMaxLevels
 		}
 		beta := cfg.wbetaAt(level, cur)
 		delta := cfg.deltaAt(level, cur)
@@ -379,7 +360,7 @@ func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 			Direction:   cfg.Direction,
 		})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return derivation{}, err
 		}
 		n := cur.NumVertices()
 		center := wd.Center
@@ -390,14 +371,14 @@ func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 		if cfg.Residual {
 			next, err = graph.CutWeightedSubgraphPool(pool, cfg.Workers, cur, center, &e.sc)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return derivation{}, err
 			}
 			st.numQuot = n
 		} else {
 			var quot []uint32
 			next, quot, err = graph.ContractWeightedClustersPool(pool, cfg.Workers, cur, center, &e.sc)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return derivation{}, err
 			}
 			st.quot = quot
 			st.numQuot = next.NumVertices()
@@ -439,7 +420,7 @@ func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 		curU = next.Unweighted()
 		orig = nextOrig
 	}
-	return lvls, stats, curU, cur, nil
+	return derivation{lvls, stats, curU, cur}, nil
 }
 
 // replayVisits presents levels [from, to) to visit in order, reconstructing
@@ -609,15 +590,15 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 			// Past the old top (new levels to grow), this level's graph lost
 			// its last edge (levels above it disappear), or the partition
 			// fixpoint did not survive: full re-derivation from here.
-			lvls, stats, fin, cerr := e.computeLevels(ctx, l, cur, origIn)
+			dv, cerr := e.computeLevels(ctx, l, cur, origIn)
 			if cerr != nil && !errors.Is(cerr, ErrMaxLevels) {
 				return UpdateStats{}, cerr
 			}
 			derr = cerr
-			nlv = append(nlv[:l], lvls...)
-			nst = append(nst[:l], stats...)
-			final = fin
-			us.Rederived = len(lvls)
+			nlv = append(nlv[:l], dv.levels...)
+			nst = append(nst[:l], dv.stats...)
+			final = dv.final
+			us.Rederived = len(dv.levels)
 			rederived = true
 			visitEnd = len(nlv)
 			break
@@ -777,19 +758,14 @@ func (h *Hierarchy) updateWeighted(ctx context.Context, b graph.Batch, visit fun
 		us.Reused = h.res.Levels
 		return us, nil
 	}
-	lvls, stats, final, wfinal, derr := h.eng.computeWeightedLevels(ctx, 0, newWG)
+	dv, derr := h.eng.computeWeightedLevels(ctx, 0, newWG)
 	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
 		return UpdateStats{}, derr
 	}
-	h.levels = lvls
-	h.res.Stats = stats
-	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.res.WFinal = wfinal
-	h.recomposeOrigMap()
+	verr := h.commit(dv, visit)
 	us.Rederived = h.res.Levels
 	us.Levels = h.res.Levels
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil && derr == nil {
+	if verr != nil && derr == nil {
 		return us, verr
 	}
 	return us, derr

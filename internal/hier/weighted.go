@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"errors"
 	"math"
 
 	"mpx/internal/graph"
@@ -36,12 +35,6 @@ func (lv *Level) Center() []uint32 {
 	return lv.D.Center
 }
 
-// RunWeighted executes a full weighted hierarchy with a fresh engine; see
-// Engine.RunWeighted.
-func RunWeighted(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Result, error) {
-	return New(cfg).RunWeighted(wg, visit)
-}
-
 // RunWeighted drives the weighted hierarchy over wg, invoking visit (which
 // may be nil) once per level. Per level it runs
 // core.PartitionWeightedParallel with the configured β/Δ schedules, then
@@ -52,24 +45,12 @@ func RunWeighted(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) 
 // Level.WG so OrigEdge works unchanged. Output is bit-identical at every
 // worker count and traversal direction for a fixed (wg, config).
 //
-// Like Run, this is a thin wrapper over the persistent Hierarchy
-// (update.go); BuildWeightedHierarchy retains the per-level state for
-// incremental maintenance. Cancellation and panic containment follow
-// Run's contract: the derivation is staged before any visit is delivered.
-func (e *Engine) RunWeighted(wg *graph.WeightedGraph, visit func(*Level) error) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h := &Hierarchy{eng: e, res: &Result{}, weighted: true}
-	if err := h.buildWeighted(wg, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h.res, err
-		}
-		return nil, err
-	}
-	return h.res, nil
+// Like Run, this is the Result of BuildWeightedHierarchy, which retains
+// the per-level state for incremental maintenance. Cancellation and panic
+// containment follow Run's contract: the derivation is staged before any
+// visit is delivered.
+func RunWeighted(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Result, error) {
+	return resultOf(BuildWeightedHierarchy(cfg, wg, visit))
 }
 
 // TotalWeightOnPool sums the undirected edge weights of wg as a pooled

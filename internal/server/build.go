@@ -202,7 +202,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) 
 // runBuild computes one build. All-or-nothing: on any error (cancellation
 // included) nothing has been retained anywhere — the engines guarantee no
 // partial result and the caller skips both cache and entry insertion. The
-// recover mirrors hier.Engine.Run: a contained worker panic re-raised
+// recover mirrors hier.BuildHierarchy: a contained worker panic re-raised
 // outside an engine's own recover (oracle construction runs pool kernels
 // after the build proper) still comes back as an error, typed 503.
 func (s *Server) runBuild(ctx context.Context, e *entry, req *buildRequest) (bt *built, resp *buildResponse, err error) {
