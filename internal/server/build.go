@@ -27,12 +27,15 @@ import (
 // randomness; Delta is the Δ-stepping bucket width of weighted builds
 // (0 picks the engine default; Δ shapes scheduling only, never a result
 // bit, but it is part of the cache key because it is part of the request).
+//
+// decodeBody fills it from the body keys app, weighted, beta, delta and
+// seed.
 type buildRequest struct {
-	App      string  `json:"app"`
-	Weighted bool    `json:"weighted,omitempty"`
-	Beta     float64 `json:"beta"`
-	Delta    float64 `json:"delta,omitempty"`
-	Seed     uint64  `json:"seed"`
+	App      string
+	Weighted bool
+	Beta     float64
+	Delta    float64
+	Seed     uint64
 }
 
 // validApps mirrors the cmd/mpx enum-validation idiom: an unknown app is
@@ -156,8 +159,11 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) 
 		return
 	}
 	defer s.reg.release(e)
-	var req buildRequest
-	if !s.decodeJSONBody(w, r, &req) {
+	sc := getScratch()
+	ok := s.decodeRequest(w, r, sc, buildFields)
+	req := sc.req.buildRequest
+	putScratch(sc)
+	if !ok {
 		return
 	}
 	if code, kind, msg := req.validate(e); code != 0 {

@@ -351,3 +351,83 @@ func TestBuildDeadline503(t *testing.T) {
 		t.Fatalf("healthz after cancelled build: %d", code)
 	}
 }
+
+// Golden FNV fingerprints of the exact query-response bytes against the
+// 20×20 grid's lowstretch build at beta=0.25 seed=42 (and one weighted
+// dist batch on the U(1,4)-weighted 8×8 grid at beta=0.3 seed=1), pinned
+// at workers 1, 2 and 8. The 300-entry batches cross the oracle's
+// sharding grain, so the pool splits them at workers > 1.
+var goldenQueryBodyFNV = map[string]uint64{
+	"dist":    0xd612ca7c7cc9edfb,
+	"cluster": 0xf94f5baf108dbe58,
+	"same":    0xa672710242ae923c,
+	"wdists":  0xcada7e976fa99430,
+}
+
+// goldenQueryBodies returns the request bodies goldenQueryBodyFNV pins.
+func goldenQueryBodies(t *testing.T) map[string][]byte {
+	const q = 300
+	pairs := make([][2]uint32, q)
+	wpairs := make([][2]uint32, q)
+	verts := make([]uint32, q)
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(i*37) % 400, uint32(i*91+7) % 400}
+		wpairs[i] = [2]uint32{uint32(i*13) % 64, uint32(i*29+3) % 64}
+		verts[i] = uint32(i*53+11) % 400
+	}
+	cfg := func(kv map[string]any) []byte {
+		m := map[string]any{"app": "lowstretch", "beta": 0.25, "seed": 42}
+		for k, v := range kv {
+			m[k] = v
+		}
+		return jsonBody(t, m)
+	}
+	return map[string][]byte{
+		"dist":    cfg(map[string]any{"op": "dist", "pairs": pairs}),
+		"cluster": cfg(map[string]any{"op": "cluster", "level": 0, "verts": verts}),
+		"same":    cfg(map[string]any{"op": "same", "level": 0, "pairs": pairs}),
+		"wdists": jsonBody(t, map[string]any{"app": "lowstretch", "weighted": true, "beta": 0.3, "seed": 1,
+			"op": "dist", "pairs": wpairs}),
+	}
+}
+
+func TestQueryBodyDeterminismAcrossWorkers(t *testing.T) {
+	snap := gridSnapshotBytes(t, 20, 20, false)
+	wsnap := gridSnapshotBytes(t, 8, 8, true)
+	reqs := goldenQueryBodies(t)
+	bodies := map[string][][]byte{}
+	for _, workers := range []int{1, 2, 8} {
+		_, ts := newTestServer(t, Config{Workers: workers})
+		fp := register(t, ts.URL, snap)
+		wfp := register(t, ts.URL, wsnap)
+		for g, b := range map[string][]byte{
+			fp:  jsonBody(t, map[string]any{"app": "lowstretch", "beta": 0.25, "seed": 42}),
+			wfp: jsonBody(t, map[string]any{"app": "lowstretch", "weighted": true, "beta": 0.3, "seed": 1}),
+		} {
+			if code, _, resp := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/build", g), b); code != http.StatusOK {
+				t.Fatalf("workers=%d: build status %d, body %s", workers, code, resp)
+			}
+		}
+		for name, req := range reqs {
+			g := fp
+			if name == "wdists" {
+				g = wfp
+			}
+			code, _, resp := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/query", g), req)
+			if code != http.StatusOK {
+				t.Fatalf("workers=%d %s: status %d, body %s", workers, name, code, resp)
+			}
+			bodies[name] = append(bodies[name], resp)
+		}
+	}
+	for name, bs := range bodies {
+		for i := 1; i < len(bs); i++ {
+			if !bytes.Equal(bs[0], bs[i]) {
+				t.Errorf("%s: body differs between worker counts:\n%s\n%s", name, bs[0], bs[i])
+			}
+		}
+		if got := bodyFNV(bs[0]); got != goldenQueryBodyFNV[name] {
+			t.Errorf("%s: golden body FNV = %#x, want %#x (body %.200s…)", name, got, goldenQueryBodyFNV[name], bs[0])
+		}
+	}
+}

@@ -68,6 +68,10 @@ func TestHostileInputs(t *testing.T) {
 			withQ(map[string]any{"workers": 8}), 400, kindBadRequest},
 		{"build trailing content", http.MethodPost, "/v1/graphs/" + fp + "/build",
 			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1} trailing`), 400, kindBadRequest},
+		{"build trailing brace", http.MethodPost, "/v1/graphs/" + fp + "/build",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1}}`), 400, kindBadRequest},
+		{"build trailing brackets", http.MethodPost, "/v1/graphs/" + fp + "/build",
+			[]byte(`{"app":"lowstretch","beta":0.5,"seed":1}]]]`), 400, kindBadRequest},
 		{"build unknown app", http.MethodPost, "/v1/graphs/" + fp + "/build",
 			jsonBody(t, map[string]any{"app": "mincut", "beta": 0.25, "seed": 1}), 400, kindBadRequest},
 		{"build empty app", http.MethodPost, "/v1/graphs/" + fp + "/build",
@@ -114,6 +118,20 @@ func TestHostileInputs(t *testing.T) {
 			withQ(map[string]any{"op": "cluster", "level": 0, "verts": []uint32{64}}), 400, kindBadRequest},
 		{"same without level", http.MethodPost, "/v1/graphs/" + fp + "/query",
 			withQ(map[string]any{"op": "same", "pairs": [][]uint32{{0, 1}}}), 400, kindBadRequest},
+		{"query trailing brace", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[0,1]]}}`), 400, kindBadRequest},
+		{"query trailing bracket", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[0,1]]}]`), 400, kindBadRequest},
+		{"dist null in pair", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[1,null]]}`), 400, kindBadRequest},
+		{"same null in pair", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"same","level":0,"pairs":[[null,1]]}`), 400, kindBadRequest},
+		{"cluster null vert", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"cluster","level":0,"verts":[0,null]}`), 400, kindBadRequest},
+		{"dist null pair", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[null]}`), 400, kindBadRequest},
+		{"dist fractional vertex", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[0,1.0]]}`), 400, kindBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,6 +149,27 @@ func TestHostileInputs(t *testing.T) {
 				t.Fatal("405 without an Allow header")
 			}
 		})
+	}
+}
+
+// TestRequestBodyNullMeansAbsent pins the other side of the null-element
+// rule: a null pairs, verts or level value is the field left out, so the
+// query is served.
+func TestRequestBodyNullMeansAbsent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	fp := register(t, ts.URL, gridSnapshotBytes(t, 8, 8, false))
+	build := `{"app":"lowstretch","beta":0.25,"seed":1`
+	if code, _, body := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/build", fp), []byte(build+`}`)); code != http.StatusOK {
+		t.Fatalf("build: status %d, body %s", code, body)
+	}
+	for _, q := range []string{
+		build + `,"op":"dist","pairs":[[0,63]],"verts":null,"level":null}`,
+		build + `,"op":"cluster","level":0,"verts":[0,63],"pairs":null}`,
+		build + `,"op":"same","level":0,"verts":null,"pairs":[[0,63]]}`,
+	} {
+		if code, _, body := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/query", fp), []byte(q)); code != http.StatusOK {
+			t.Errorf("%s: status %d, body %s", q, code, body)
+		}
 	}
 }
 

@@ -415,27 +415,3 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 		Panics:         s.panics.Load(),
 	}))
 }
-
-// decodeJSONBody decodes a request body strictly: size-capped, unknown
-// fields rejected, trailing content rejected. Errors are phrased for the
-// client; the (code, kind) pair is 413 for the size cap and 400 otherwise.
-func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxJSON)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
-				"request body exceeds %d bytes", s.maxJSON)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, kindBadRequest, "decoding request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, kindBadRequest, "request body has trailing content after the JSON object")
-		return false
-	}
-	return true
-}

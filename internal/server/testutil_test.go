@@ -47,7 +47,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // gridSnapshotBytes returns the canonical .mpxsnap encoding of a
 // rows×cols grid (weighted with deterministic U(1,4) weights when
 // weighted is set).
-func gridSnapshotBytes(t *testing.T, rows, cols int, weighted bool) []byte {
+func gridSnapshotBytes(t testing.TB, rows, cols int, weighted bool) []byte {
 	t.Helper()
 	g := graph.Grid2D(rows, cols)
 	path := filepath.Join(t.TempDir(), "g.mpxsnap")
